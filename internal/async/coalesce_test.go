@@ -78,7 +78,7 @@ func TestCoalesceConcurrentIdenticalMisses(t *testing.T) {
 		if !ok || res.Err != nil {
 			t.Fatalf("take %d: ok=%v err=%v", i, ok, res.Err)
 		}
-		if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+		if len(res.Rows) != 1 || res.Rows[0][0].I() != 7 {
 			t.Fatalf("registration %d got wrong rows: %v", i, res.Rows)
 		}
 	}
@@ -120,7 +120,7 @@ func TestCoalesceAfterCompletionHitsCache(t *testing.T) {
 		if _, err := p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true}); err != nil {
 			t.Fatal(err)
 		}
-		if res, ok := p.Take(id); !ok || res.Err != nil || res.Rows[0][0].I != 7 {
+		if res, ok := p.Take(id); !ok || res.Err != nil || res.Rows[0][0].I() != 7 {
 			t.Fatalf("cached take %d: %+v %v", i, res, ok)
 		}
 	}
@@ -179,7 +179,7 @@ func TestPumpPeerFetchServesWithoutEngine(t *testing.T) {
 	id := p.RegisterCtx(context.Background(), "d", "hot", mk)
 	p.AwaitAnyCtx(context.Background(), map[types.CallID]bool{id: true})
 	res, _ := p.Take(id)
-	if res.Err != nil || res.Rows[0][0].I != 99 {
+	if res.Err != nil || res.Rows[0][0].I() != 99 {
 		t.Fatalf("peer-served result: %+v", res)
 	}
 	if engineCalls.Load() != 0 {

@@ -167,7 +167,7 @@ func TestDiscardQueuedKeepsCoalescedSiblings(t *testing.T) {
 		t.Fatalf("await b: %v %v", id, err)
 	}
 	res, _ := p.Take(b)
-	if res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+	if res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I() != 7 {
 		t.Fatalf("coalesced survivor got %+v", res)
 	}
 	if _, ok := p.Take(a); ok {

@@ -21,7 +21,7 @@ func TestPumpBasicRegisterTake(t *testing.T) {
 		t.Fatalf("await: %v %v", got, err)
 	}
 	res, ok := p.Take(id)
-	if !ok || res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 42 {
+	if !ok || res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I() != 42 {
 		t.Fatalf("take: %+v %v", res, ok)
 	}
 	// Result is consumed.
@@ -279,7 +279,7 @@ func TestPumpCoalescesInFlightDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, ok := p.Take(id)
-		if !ok || res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+		if !ok || res.Err != nil || len(res.Rows) != 1 || res.Rows[0][0].I() != 7 {
 			t.Fatalf("coalesced result wrong: %+v", res)
 		}
 		delete(ids, id)

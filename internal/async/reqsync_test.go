@@ -98,7 +98,7 @@ func TestAEVScanEmitsPlaceholderTuple(t *testing.T) {
 	if tup[0].AsString() != "abc" {
 		t.Errorf("echoed arg: %v", tup)
 	}
-	if !tup[1].IsPlaceholder() || tup[1].Field != 0 {
+	if !tup[1].IsPlaceholder() || tup[1].Field() != 0 {
 		t.Errorf("output should be a placeholder: %v", tup)
 	}
 	// Exactly one tuple ("we always begin by assuming that exactly one
@@ -143,7 +143,7 @@ func TestReqSyncPatchesSingleRow(t *testing.T) {
 		if r.HasPlaceholder() {
 			t.Fatalf("unpatched tuple: %v", r)
 		}
-		if r[2].I != int64(len(r[0].AsString())) {
+		if r[2].I() != int64(len(r[0].AsString())) {
 			t.Errorf("patched value wrong: %v", r)
 		}
 	}
@@ -188,7 +188,7 @@ func TestReqSyncExpandsMultiRowResults(t *testing.T) {
 	}
 	counts := map[string][]int64{}
 	for _, r := range rows {
-		counts[r[0].AsString()] = append(counts[r[0].AsString()], r[2].I)
+		counts[r[0].AsString()] = append(counts[r[0].AsString()], r[2].I())
 	}
 	if len(counts["abc"]) != 3 || len(counts["z"]) != 1 {
 		t.Errorf("per-term expansion: %v", counts)
@@ -235,7 +235,7 @@ func TestReqSyncMultipleCallsPerTuple(t *testing.T) {
 		if r.HasPlaceholder() {
 			t.Fatalf("unpatched: %v", r)
 		}
-		key := fmt.Sprintf("%d/%d", r[2].I, r[4].I)
+		key := fmt.Sprintf("%d/%d", r[2].I(), r[4].I())
 		if seen[key] {
 			t.Errorf("duplicate combination %s", key)
 		}

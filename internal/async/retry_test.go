@@ -50,7 +50,7 @@ func TestRetryMasksTransientFailures(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("retries should have masked the transient failures: %v", res.Err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+	if len(res.Rows) != 1 || res.Rows[0][0].I() != 7 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	st := p.Stats()
@@ -129,7 +129,7 @@ func TestCallTimeoutAbandonsStalledAttempt(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("retry after timeout should succeed: %v", res.Err)
 	}
-	if res.Rows[0][0].I != 2 {
+	if res.Rows[0][0].I() != 2 {
 		t.Fatalf("result should come from the second attempt, got %v", res.Rows)
 	}
 	st := p.Stats()
@@ -199,7 +199,7 @@ func TestHedgeWinsAgainstSlowPrimary(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("hedge should have completed the call: %v", res.Err)
 	}
-	if res.Rows[0][0].I != 2 {
+	if res.Rows[0][0].I() != 2 {
 		t.Fatalf("winning row should come from the hedge, got %v", res.Rows)
 	}
 	st := p.Stats()

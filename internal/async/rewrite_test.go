@@ -69,7 +69,7 @@ func TestRewriteFigure3(t *testing.T) {
 	// Sorted by Count desc: SIGMOD/SIGOPS (42) before SIGACT (42)... all
 	// 6-letter sigs tie at 42; verify ordering is by count desc.
 	for i := 1; i < len(rows); i++ {
-		if rows[i-1][2].I < rows[i][2].I {
+		if rows[i-1][2].I() < rows[i][2].I() {
 			t.Errorf("sort violated: %v", rows)
 		}
 	}
@@ -251,7 +251,7 @@ func TestRewriteClashingFilterHoisted(t *testing.T) {
 	}
 	rows := runOp(t, got)
 	for _, r := range rows {
-		if r[2].I <= 40 {
+		if r[2].I() <= 40 {
 			t.Errorf("filter not applied: %v", r)
 		}
 	}
@@ -290,7 +290,7 @@ func TestRewriteAggregateClashes(t *testing.T) {
 		t.Fatalf("shape = %s", s)
 	}
 	rows := runOp(t, got)
-	if len(rows) != 1 || rows[0][0].I != 7+14 {
+	if len(rows) != 1 || rows[0][0].I() != 7+14 {
 		t.Fatalf("aggregate result: %v", rows)
 	}
 }

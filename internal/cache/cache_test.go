@@ -25,7 +25,7 @@ func TestGetPut(t *testing.T) {
 	}
 	c.Put("k", rows(1, 2))
 	got, ok := c.Get("k")
-	if !ok || len(got) != 2 || got[0][0].I != 1 {
+	if !ok || len(got) != 2 || got[0][0].I() != 1 {
 		t.Errorf("get: %v %v", got, ok)
 	}
 	hits, misses := c.Stats()
@@ -137,7 +137,7 @@ func TestEntriesRecencyOrder(t *testing.T) {
 	if all := c.Entries(0); len(all) != 4 {
 		t.Errorf("Entries(0) = %d entries, want all 4", len(all))
 	}
-	if es[0].Rows[0][0].I != 1 {
+	if es[0].Rows[0][0].I() != 1 {
 		t.Errorf("entry rows: %v", es[0].Rows)
 	}
 }

@@ -75,7 +75,7 @@ func TestInsertCoercionAndScan(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if rows[0][1].Kind != types.KindInt || rows[0][1].I != 2100000 {
+	if rows[0][1].Kind != types.KindInt || rows[0][1].I() != 2100000 {
 		t.Errorf("population coerced wrong: %v", rows[0][1])
 	}
 	if rows[0][2].Kind != types.KindString || rows[0][2].S != "42" {

@@ -446,7 +446,7 @@ func (r *Result) Format() string {
 		for ci, v := range row {
 			s := v.String()
 			if v.Kind == types.KindFloat {
-				s = fmt.Sprintf("%.4g", v.F)
+				s = fmt.Sprintf("%.4g", v.F())
 			}
 			cells[ri][ci] = s
 			if ci < len(widths) && len(s) > widths[ci] {

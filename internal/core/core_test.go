@@ -116,7 +116,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	defer db2.Close()
 	res := mustQuery(t, db2, `SELECT A FROM T`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 42 {
+	if len(res.Rows) != 1 || res.Rows[0][0].I() != 42 {
 		t.Errorf("rows after reopen: %v", res.Rows)
 	}
 }
@@ -563,7 +563,7 @@ func TestNilContextDefaults(t *testing.T) {
 		t.Fatalf("insert: %v", err)
 	}
 	res, err := db.QueryContext(nil, `SELECT V FROM NilCtx`)
-	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 7 {
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I() != 7 {
 		t.Fatalf("QueryContext(nil): %+v %v", res, err)
 	}
 }

@@ -80,13 +80,94 @@ func NewAggregate(child Operator, groupBy []expr.Expr, groupCols []schema.Column
 func (a *Aggregate) Schema() *schema.Schema { return a.out }
 
 type aggState struct {
-	groupVals []types.Value
-	count     int64
-	sum       float64
-	sumIsInt  bool
-	sumInt    int64
-	min, max  types.Value
-	seenAny   bool
+	count    int64
+	sum      float64
+	sumIsInt bool
+	sumInt   int64
+	min, max types.Value
+	seenAny  bool
+}
+
+// groupTable accumulates the groups of one Aggregate.Open: the distinct
+// GROUP BY tuples in a tupleSet and, by the same index, one state per
+// aggregate for each group. A row that folds into an existing group
+// allocates nothing.
+type groupTable struct {
+	a       *Aggregate
+	keys    tupleSet
+	sts     [][]aggState
+	scratch types.Tuple // GROUP BY values of the current row
+}
+
+func newGroupTable(a *Aggregate) *groupTable {
+	return &groupTable{a: a, keys: newTupleSet(), scratch: make(types.Tuple, len(a.GroupBy))}
+}
+
+// add folds one input row into its group, creating the group first if
+// the row is the first of its key.
+func (g *groupTable) add(ctx *Context, t types.Tuple) error {
+	a := g.a
+	for i, e := range a.GroupBy {
+		v, err := e.Eval(ctx.Env, t)
+		if err != nil {
+			return fmt.Errorf("Aggregate group key %s: %w", e, err)
+		}
+		g.scratch[i] = v
+	}
+	gi, h := g.keys.lookup(g.scratch)
+	if gi < 0 {
+		gi = g.newGroup(g.scratch.Clone(), h)
+	}
+	sts := g.sts[gi]
+	for i, sp := range a.Aggs {
+		st := &sts[i]
+		if sp.Func == AggCountStar {
+			st.count++
+			continue
+		}
+		v, err := sp.Arg.Eval(ctx.Env, t)
+		if err != nil {
+			return fmt.Errorf("Aggregate %s: %w", sp.Arg, err)
+		}
+		if v.IsNull() {
+			continue
+		}
+		st.count++
+		switch sp.Func {
+		case AggSum, AggAvg:
+			f, err := v.AsFloat()
+			if err != nil {
+				return err
+			}
+			st.sum += f
+			if v.Kind == types.KindInt {
+				st.sumInt += v.I()
+			} else {
+				st.sumIsInt = false
+			}
+		case AggMin:
+			if !st.seenAny || v.Compare(st.min) < 0 {
+				st.min = v
+			}
+		case AggMax:
+			if !st.seenAny || v.Compare(st.max) > 0 {
+				st.max = v
+			}
+		}
+		st.seenAny = true
+	}
+	return nil
+}
+
+// newGroup adds a group with the given GROUP BY values and key hash and
+// returns its index.
+func (g *groupTable) newGroup(vals types.Tuple, h uint64) int {
+	sts := make([]aggState, len(g.a.Aggs))
+	for i := range sts {
+		sts[i].sumIsInt = true
+	}
+	g.sts = append(g.sts, sts)
+	return g.keys.insert(vals, h)
 }
 
 // Open implements Operator: it drains the child and computes all groups.
@@ -103,111 +184,46 @@ func (a *Aggregate) Open(ctx *Context) error {
 	if err := bindAll("Aggregate", a.Child.Schema(), exprs...); err != nil {
 		return err
 	}
-	groups := make(map[string][]*aggState)
-	var order []string
-	var pending Batch
-	nextRow := func() (types.Tuple, bool, error) {
-		for len(pending) == 0 {
-			b, ok, err := NextBatchFrom(ctx, a.Child, 0)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			pending = b
-		}
-		t := pending[0]
-		pending = pending[1:]
-		return t, true, nil
-	}
+	g := newGroupTable(a)
 	for {
-		t, ok, err := nextRow()
+		b, ok, err := NextBatchFrom(ctx, a.Child, 0)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		if t.HasPlaceholder() {
-			return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
-		}
-		gvals := make([]types.Value, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(ctx.Env, t)
-			if err != nil {
-				return fmt.Errorf("Aggregate group key %s: %w", g, err)
+		for _, t := range b {
+			if t.HasPlaceholder() {
+				return fmt.Errorf("Aggregate received a pending placeholder tuple; plan rewrite must keep aggregation above ReqSync")
 			}
-			gvals[i] = v
-		}
-		key := types.Tuple(gvals).Key()
-		var sts []*aggState
-		if existing, ok := groups[key]; ok {
-			sts = existing
-		} else {
-			sts = make([]*aggState, len(a.Aggs))
-			for i := range sts {
-				sts[i] = &aggState{groupVals: gvals, sumIsInt: true}
+			if err := g.add(ctx, t); err != nil {
+				return err
 			}
-			if len(sts) == 0 {
-				// Group with no aggregates still needs recording.
-				sts = []*aggState{{groupVals: gvals}}
-			}
-			groups[key] = sts
-			order = append(order, key)
-		}
-		for i, sp := range a.Aggs {
-			st := sts[i]
-			if sp.Func == AggCountStar {
-				st.count++
-				continue
-			}
-			v, err := sp.Arg.Eval(ctx.Env, t)
-			if err != nil {
-				return fmt.Errorf("Aggregate %s: %w", sp.Arg, err)
-			}
-			if v.IsNull() {
-				continue
-			}
-			st.count++
-			switch sp.Func {
-			case AggSum, AggAvg:
-				f, err := v.AsFloat()
-				if err != nil {
-					return err
-				}
-				st.sum += f
-				if v.Kind == types.KindInt {
-					st.sumInt += v.I
-				} else {
-					st.sumIsInt = false
-				}
-			case AggMin:
-				if !st.seenAny || v.Compare(st.min) < 0 {
-					st.min = v
-				}
-			case AggMax:
-				if !st.seenAny || v.Compare(st.max) > 0 {
-					st.max = v
-				}
-			}
-			st.seenAny = true
 		}
 	}
 	// Global aggregate over an empty input still emits one row.
-	if len(order) == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
-		sts := make([]*aggState, len(a.Aggs))
-		for i := range sts {
-			sts[i] = &aggState{sumIsInt: true}
-		}
-		groups[""] = sts
-		order = append(order, "")
+	groups := g.keys.rows
+	if len(groups) == 0 && len(a.GroupBy) == 0 && len(a.Aggs) > 0 {
+		g.newGroup(types.Tuple{}, 0)
+		groups = g.keys.rows
 	}
-	sort.Strings(order) // deterministic output order
-	a.rows = a.rows[:0]
+	// Deterministic output order: by group key, computed once per group.
+	keys := make([]string, len(groups))
+	order := make([]int, len(groups))
+	for i, vals := range groups {
+		keys[i] = vals.Key()
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool { return keys[order[x]] < keys[order[y]] })
+	a.rows = make([]types.Tuple, 0, len(order))
 	a.pos = 0
-	for _, key := range order {
-		sts := groups[key]
-		row := append(types.Tuple{}, sts[0].groupVals...)
+	for _, gi := range order {
+		vals := groups[gi]
+		row := make(types.Tuple, len(vals), len(vals)+len(a.Aggs))
+		copy(row, vals)
 		for i, sp := range a.Aggs {
-			st := sts[i]
+			st := &g.sts[gi][i]
 			switch sp.Func {
 			case AggCount, AggCountStar:
 				row = append(row, types.Int(st.count))

@@ -82,3 +82,24 @@ type BindingBatcher interface {
 	// is not a BindingBatcher report false).
 	BindBatch(ctx *Context, frames []map[schema.AttrID]types.Value) (rows [][]types.Tuple, ok bool, err error)
 }
+
+// growBools returns b resized to n elements, reusing its array when it
+// is large enough. The contents are unspecified.
+func growBools(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	return b[:n]
+}
+
+// compact returns a fresh batch of the n tuples of in whose keep flag is
+// set, in input order.
+func compact(in Batch, keep []bool, n int) Batch {
+	out := make(Batch, 0, n)
+	for i, t := range in {
+		if keep[i] {
+			out = append(out, t)
+		}
+	}
+	return out
+}

@@ -72,7 +72,7 @@ func TestValuesScan(t *testing.T) {
 	s := schema.New(intCol("T", "A"))
 	v := NewValuesScan(s, []types.Tuple{{types.Int(1)}, {types.Int(2)}})
 	rows := runAll(t, v)
-	if len(rows) != 2 || rows[1][0].I != 2 {
+	if len(rows) != 2 || rows[1][0].I() != 2 {
 		t.Errorf("rows: %v", rows)
 	}
 	// Re-open rescans.
@@ -91,7 +91,7 @@ func TestFilter(t *testing.T) {
 	scan := NewValuesScan(s, []types.Tuple{{types.Int(1)}, {types.Int(5)}, {types.Int(3)}})
 	f := NewFilter(scan, expr.NewCmp(expr.GE, expr.NewColRef(a), expr.NewLiteral(types.Int(3))))
 	rows := runAll(t, f)
-	if len(rows) != 2 || rows[0][0].I != 5 || rows[1][0].I != 3 {
+	if len(rows) != 2 || rows[0][0].I() != 5 || rows[1][0].I() != 3 {
 		t.Errorf("filter rows: %v", rows)
 	}
 }
@@ -105,7 +105,7 @@ func TestProjectComputedAndPassThrough(t *testing.T) {
 		[]expr.Expr{expr.NewColRef(b), expr.NewArith(expr.Add, expr.NewColRef(a), expr.NewColRef(b))},
 		schema.New(b, sum))
 	rows := runAll(t, p)
-	if len(rows) != 1 || rows[0][0].I != 4 || rows[0][1].I != 14 {
+	if len(rows) != 1 || rows[0][0].I() != 4 || rows[0][1].I() != 14 {
 		t.Errorf("project rows: %v", rows)
 	}
 	if p.PassThroughExprs() {
@@ -127,7 +127,7 @@ func TestNestedLoopJoin(t *testing.T) {
 	right := NewValuesScan(schema.New(b), []types.Tuple{{types.Int(2)}, {types.Int(3)}})
 	j := NewNestedLoopJoin(left, right, expr.NewCmp(expr.EQ, expr.NewColRef(a), expr.NewColRef(b)))
 	rows := runAll(t, j)
-	if len(rows) != 1 || rows[0][0].I != 2 || rows[0][1].I != 2 {
+	if len(rows) != 1 || rows[0][0].I() != 2 || rows[0][1].I() != 2 {
 		t.Errorf("join rows: %v", rows)
 	}
 	if j.Name() != "Join" {
@@ -183,7 +183,7 @@ func TestDependentJoinBindings(t *testing.T) {
 		if r[0].AsString() != r[1].AsString() {
 			t.Errorf("echoed input mismatch: %v", r)
 		}
-		if r[2].I != 10 {
+		if r[2].I() != 10 {
 			t.Errorf("val: %v", r)
 		}
 	}
@@ -207,7 +207,7 @@ func TestDependentJoinMultiRowAndEmpty(t *testing.T) {
 		t.Fatalf("rows: %v", rows)
 	}
 	for i, r := range rows {
-		if r[0].AsString() != "three" || r[2].I != int64(i+1) {
+		if r[0].AsString() != "three" || r[2].I() != int64(i+1) {
 			t.Errorf("row %d: %v", i, r)
 		}
 	}
@@ -235,7 +235,7 @@ func TestStackedDependentJoins(t *testing.T) {
 	for _, r := range rows {
 		// Row: [L.Term, F1.Term, F1.Val, F2.Term, F2.Val].
 		n := int64(len(r[0].AsString()))
-		if r[2].I != n || r[4].I != n*100 {
+		if r[2].I() != n || r[4].I() != n*100 {
 			t.Errorf("row: %v", r)
 		}
 	}
@@ -276,7 +276,7 @@ func TestSortStability(t *testing.T) {
 	srt := NewSort(NewValuesScan(s, input), []SortKey{{Expr: expr.NewColRef(a)}})
 	rows := runAll(t, srt)
 	for i, r := range rows {
-		if r[1].I != int64(i) {
+		if r[1].I() != int64(i) {
 			t.Fatal("sort must be stable on equal keys")
 		}
 	}
@@ -335,10 +335,10 @@ func TestAggregate(t *testing.T) {
 	}
 	// Deterministic order (sorted by group key): a then b.
 	ra, rb := rows[0], rows[1]
-	if ra[0].AsString() != "a" || ra[1].I != 2 || ra[2].I != 4 || ra[3].I != 1 || ra[4].I != 3 || ra[5].F != 2 {
+	if ra[0].AsString() != "a" || ra[1].I() != 2 || ra[2].I() != 4 || ra[3].I() != 1 || ra[4].I() != 3 || ra[5].F() != 2 {
 		t.Errorf("group a: %v", ra)
 	}
-	if rb[0].AsString() != "b" || rb[1].I != 2 || rb[2].I != 10 {
+	if rb[0].AsString() != "b" || rb[1].I() != 2 || rb[2].I() != 10 {
 		t.Errorf("group b: %v", rb)
 	}
 }
@@ -351,7 +351,7 @@ func TestAggregateGlobalEmptyInput(t *testing.T) {
 		{Func: AggSum, Arg: expr.NewColRef(v), OutCol: intCol("", "s")},
 	})
 	rows := runAll(t, agg)
-	if len(rows) != 1 || rows[0][0].I != 0 || !rows[0][1].IsNull() {
+	if len(rows) != 1 || rows[0][0].I() != 0 || !rows[0][1].IsNull() {
 		t.Errorf("global aggregate over empty input: %v", rows)
 	}
 }
@@ -374,7 +374,7 @@ func TestEVScanConstantInput(t *testing.T) {
 	}}
 	ev := NewEVScan(src, []expr.Expr{expr.NewLiteral(types.Str("q"))}, fakeSchema("F"))
 	rows := runAll(t, ev)
-	if len(rows) != 1 || rows[0][0].AsString() != "q" || rows[0][1].I != 7 {
+	if len(rows) != 1 || rows[0][0].AsString() != "q" || rows[0][1].I() != 7 {
 		t.Errorf("evscan rows: %v", rows)
 	}
 }
@@ -463,7 +463,7 @@ func TestSetChildRewiresSchema(t *testing.T) {
 		t.Error("SetChild must invalidate the cached schema")
 	}
 	rows := runAll(t, j)
-	if len(rows) != 1 || rows[0][1].I != 3 {
+	if len(rows) != 1 || rows[0][1].I() != 3 {
 		t.Errorf("rows after rewire: %v", rows)
 	}
 }

@@ -14,6 +14,7 @@ import (
 type Filter struct {
 	Child Operator
 	Pred  expr.Expr
+	keep  []bool // NextBatch scratch: which input tuples pass
 }
 
 // NewFilter builds a selection over child.
@@ -50,28 +51,30 @@ func (f *Filter) Next(ctx *Context) (types.Tuple, bool, error) {
 }
 
 // NextBatch implements BatchOperator: the predicate runs over whole child
-// batches, with survivors collected into a fresh slice (child batches may
-// be views of the child's internal storage and are never mutated in
-// place). Empty survivor sets loop to the next child batch so a true
-// result is always non-empty.
+// batches, with survivors collected into a fresh slice allocated at its
+// final length (child batches may be views of the child's internal
+// storage and are never mutated in place). Empty survivor sets loop to
+// the next child batch so a true result is always non-empty.
 func (f *Filter) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
 		in, ok, err := NextBatchFrom(ctx, f.Child, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		var out Batch
-		for _, t := range in {
+		f.keep = growBools(f.keep, len(in))
+		n := 0
+		for i, t := range in {
 			v, err := f.Pred.Eval(ctx.Env, t)
 			if err != nil {
 				return nil, false, fmt.Errorf("Filter %s: %w", f.Pred, err)
 			}
-			if v.Truthy() {
-				out = append(out, t)
+			f.keep[i] = v.Truthy()
+			if f.keep[i] {
+				n++
 			}
 		}
-		if len(out) > 0 {
-			return out, true, nil
+		if n > 0 {
+			return compact(in, f.keep, n), true, nil
 		}
 	}
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,10 +28,11 @@ import (
 // Key semantics mirror the expression evaluator's `=` (Cmp/EQ): NULL
 // keys never match (NULL = x is NULL, not true), int and float compare
 // numerically across kinds, and mismatched non-numeric kinds never
-// match. Bucket keys normalize numerics to a single encoding so Int(1)
-// and Float(1.0) land in the same bucket; every bucket candidate is then
-// re-verified with Value.Compare, making the string encoding a pure
-// bucketing hint that cannot produce false matches.
+// match. Bucket hashes normalize numerics to their float64 bits with -0
+// folded to +0, so Int(1) and Float(1.0) — and Float(-0) and Int(0) —
+// land in the same bucket; every bucket candidate is then re-verified
+// with Value.Compare, making the hash a pure bucketing hint that cannot
+// produce false matches.
 type HashJoin struct {
 	Left, Right Operator
 	// LeftKeys/RightKeys are the equi-key expressions, pairwise equal
@@ -44,7 +44,8 @@ type HashJoin struct {
 	Residual expr.Expr
 
 	out      *schema.Schema
-	table    map[string][]buildRow
+	table    hashTable
+	probe    []types.Value // probe-key scratch, reused per left tuple
 	buf      Batch
 	leftDone bool
 	opened   bool
@@ -52,13 +53,6 @@ type HashJoin struct {
 	// Per-instance profile counters for the span trace: build/probe
 	// self-time split and build-side cardinality, cumulative over Opens.
 	buildNS, probeNS, buildRows int64
-}
-
-// buildRow is one hash-table entry: the right tuple plus its evaluated
-// key values for collision verification.
-type buildRow struct {
-	row  types.Tuple
-	keys []types.Value
 }
 
 // NewHashJoin builds an equi-hash-join. leftKeys[i] must pair with
@@ -104,78 +98,31 @@ func (j *HashJoin) Open(ctx *Context) error {
 		return err
 	}
 	start := time.Now()
-	j.table = make(map[string][]buildRow)
-	for {
-		b, ok, err := NextBatchFrom(ctx, j.Right, 0)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for _, rt := range b {
-			keys, null, err := evalKeys("Hash Join build", j.RightKeys, ctx, rt)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue // a NULL key can never equal anything
-			}
-			hk := hashKey(keys)
-			j.table[hk] = append(j.table[hk], buildRow{row: rt, keys: keys})
-			j.buildRows++
-		}
-	}
+	n, err := j.table.build(ctx, "Hash Join build", j.Right, j.RightKeys, true)
+	j.buildRows += n
 	j.buildNS += time.Since(start).Nanoseconds()
-	return nil
+	j.probe = make([]types.Value, len(j.LeftKeys))
+	return err
 }
 
-// evalKeys evaluates key expressions against t. null reports that at
-// least one key evaluated to NULL (the tuple cannot match anything).
-func evalKeys(who string, keys []expr.Expr, ctx *Context, t types.Tuple) ([]types.Value, bool, error) {
-	vals := make([]types.Value, len(keys))
+// evalKeys evaluates key expressions against t into vals, which must
+// have len(keys) elements. null reports that at least one key evaluated
+// to NULL (the tuple cannot match anything).
+func evalKeys(who string, keys []expr.Expr, ctx *Context, t types.Tuple, vals []types.Value) (bool, error) {
 	for i, k := range keys {
 		v, err := k.Eval(ctx.Env, t)
 		if err != nil {
-			return nil, false, fmt.Errorf("%s key %s: %w", who, k, err)
+			return false, fmt.Errorf("%s key %s: %w", who, k, err)
 		}
 		if v.IsPlaceholder() {
-			return nil, false, fmt.Errorf("%s key %s evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync", who, k)
+			return false, fmt.Errorf("%s key %s evaluated over pending placeholder value; plan rewrite must keep this operator above ReqSync", who, k)
 		}
 		if v.IsNull() {
-			return nil, true, nil
+			return true, nil
 		}
 		vals[i] = v
 	}
-	return vals, false, nil
-}
-
-// hashKey encodes key values for bucketing. All numeric kinds share one
-// encoding (Compare treats int and float numerically), so cross-kind
-// numeric equalities bucket together; candidates are verified with
-// Compare afterwards, so encoding collisions are harmless.
-func hashKey(vals []types.Value) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		switch v.Kind {
-		case types.KindInt:
-			b.WriteString("n:")
-			b.WriteString(strconv.FormatFloat(float64(v.I), 'g', -1, 64))
-		case types.KindFloat:
-			b.WriteString("n:")
-			b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
-		case types.KindString:
-			b.WriteString("s:")
-			b.WriteString(v.S)
-		default:
-			b.WriteString("x:")
-			b.WriteString(v.AsString())
-		}
-	}
-	return b.String()
+	return false, nil
 }
 
 // keysEqual verifies a bucket candidate with the evaluator's comparison
@@ -204,18 +151,18 @@ func (j *HashJoin) fill(ctx *Context, max int) error {
 			return nil
 		}
 		for _, lt := range lb {
-			keys, null, err := evalKeys("Hash Join probe", j.LeftKeys, ctx, lt)
+			null, err := evalKeys("Hash Join probe", j.LeftKeys, ctx, lt, j.probe)
 			if err != nil {
 				return err
 			}
 			if null {
 				continue
 			}
-			for _, cand := range j.table[hashKey(keys)] {
-				if !keysEqual(keys, cand.keys) {
+			for i := j.table.head(joinKeyHash(j.probe)); i >= 0; i = j.table.next[i] {
+				if !keysEqual(j.probe, j.table.keysOf(i)) {
 					continue
 				}
-				joined := lt.Concat(cand.row)
+				joined := lt.Concat(j.table.rows[i])
 				if j.Residual != nil {
 					v, err := j.Residual.Eval(ctx.Env, joined)
 					if err != nil {
@@ -279,7 +226,7 @@ func (j *HashJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.table = nil
+	j.table = hashTable{}
 	j.buf = nil
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }
@@ -351,7 +298,8 @@ type HashSemiJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []expr.Expr
 
-	table    map[string][][]types.Value
+	table    hashTable
+	probe    []types.Value
 	buf      Batch
 	leftDone bool
 	opened   bool
@@ -389,30 +337,11 @@ func (j *HashSemiJoin) Open(ctx *Context) error {
 		return err
 	}
 	start := time.Now()
-	j.table = make(map[string][][]types.Value)
-	for {
-		b, ok, err := NextBatchFrom(ctx, j.Right, 0)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		for _, rt := range b {
-			keys, null, err := evalKeys("Hash Semi Join build", j.RightKeys, ctx, rt)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			hk := hashKey(keys)
-			j.table[hk] = append(j.table[hk], keys)
-			j.buildRows++
-		}
-	}
+	n, err := j.table.build(ctx, "Hash Semi Join build", j.Right, j.RightKeys, false)
+	j.buildRows += n
 	j.buildNS += time.Since(start).Nanoseconds()
-	return nil
+	j.probe = make([]types.Value, len(j.LeftKeys))
+	return err
 }
 
 func (j *HashSemiJoin) fill(ctx *Context, max int) error {
@@ -428,15 +357,15 @@ func (j *HashSemiJoin) fill(ctx *Context, max int) error {
 			return nil
 		}
 		for _, lt := range lb {
-			keys, null, err := evalKeys("Hash Semi Join probe", j.LeftKeys, ctx, lt)
+			null, err := evalKeys("Hash Semi Join probe", j.LeftKeys, ctx, lt, j.probe)
 			if err != nil {
 				return err
 			}
 			if null {
 				continue
 			}
-			for _, cand := range j.table[hashKey(keys)] {
-				if keysEqual(keys, cand) {
+			for i := j.table.head(joinKeyHash(j.probe)); i >= 0; i = j.table.next[i] {
+				if keysEqual(j.probe, j.table.keysOf(i)) {
 					j.buf = append(j.buf, lt)
 					break
 				}
@@ -492,7 +421,7 @@ func (j *HashSemiJoin) Close() error {
 		return nil
 	}
 	j.opened = false
-	j.table = nil
+	j.table = hashTable{}
 	j.buf = nil
 	return errors.Join(j.Left.Close(), j.Right.Close())
 }

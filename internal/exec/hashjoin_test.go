@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,53 +30,110 @@ func randTable(rng *rand.Rand, n, keyDomain int, nullFrac float64) []types.Tuple
 	return rows
 }
 
+// mixedKeys is a key domain on which kind-exact and numeric equality
+// disagree: zeros of both signs and kinds, equal int/float pairs, a
+// float with no int twin, and strings that spell numbers.
+var mixedKeys = []types.Value{
+	types.Int(0), types.Float(0), types.Float(math.Copysign(0, -1)),
+	types.Int(1), types.Float(1), types.Int(-3), types.Float(-3), types.Float(2.5),
+	types.Str("0"), types.Str("1"), types.Str("a"), types.Str(""),
+}
+
+// randMixedTable is randTable over the mixedKeys domain.
+func randMixedTable(rng *rand.Rand, n int, nullFrac float64) []types.Tuple {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		k := types.Null()
+		if rng.Float64() >= nullFrac {
+			k = mixedKeys[rng.Intn(len(mixedKeys))]
+		}
+		rows[i] = types.Tuple{k, types.Int(int64(i))}
+	}
+	return rows
+}
+
 // TestHashJoinMatchesNestedLoopRandomized: for seeded random inputs with
 // duplicate and NULL keys, HashJoin must produce exactly the rows of the
 // equivalent nested-loop join — same multiplicity AND same order (probe in
 // left stream order, matches in right scan order), so plans stay
-// byte-identical when the planner swaps join algorithms.
+// byte-identical when the planner swaps join algorithms. The mixed-key
+// runs cover numeric equality across kinds, including -0 = 0.
 func TestHashJoinMatchesNestedLoopRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			lk, lp := intCol("L", "K"), intCol("L", "P")
-			rk, rp := intCol("R", "K"), intCol("R", "P")
-			lsc, rsc := schema.New(lk, lp), schema.New(rk, rp)
-			lrows := randTable(rng, 40+rng.Intn(40), 12, 0.1)
-			rrows := randTable(rng, 40+rng.Intn(40), 12, 0.1)
-
-			mk := func() (Operator, Operator) {
-				hash := NewHashJoin(
-					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-					[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil)
-				nlj := NewNestedLoopJoin(
-					NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-					expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)))
-				return hash, nlj
-			}
-			hash, nlj := mk()
-			got := rowStrings(runAll(t, hash))
-			want := rowStrings(runAll(t, nlj))
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("hash join diverges from nested loop:\nhash: %v\nnlj:  %v", got, want)
-			}
-
-			// With a residual: equi-key plus a non-equi conjunct.
-			hashR := NewHashJoin(
-				NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-				[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)},
-				expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp)))
-			nljR := NewNestedLoopJoin(
-				NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
-				expr.NewAnd(
-					expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)),
-					expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp))))
-			gotR := rowStrings(runAll(t, hashR))
-			wantR := rowStrings(runAll(t, nljR))
-			if fmt.Sprint(gotR) != fmt.Sprint(wantR) {
-				t.Fatalf("residual hash join diverges:\nhash: %v\nnlj:  %v", gotR, wantR)
-			}
+			checkHashJoinMatchesNestedLoop(t,
+				randTable(rng, 40+rng.Intn(40), 12, 0.1), randTable(rng, 40+rng.Intn(40), 12, 0.1))
 		})
+		t.Run(fmt.Sprintf("mixed-seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			checkHashJoinMatchesNestedLoop(t,
+				randMixedTable(rng, 40+rng.Intn(40), 0.1), randMixedTable(rng, 40+rng.Intn(40), 0.1))
+		})
+	}
+}
+
+func checkHashJoinMatchesNestedLoop(t *testing.T, lrows, rrows []types.Tuple) {
+	t.Helper()
+	lk, lp := intCol("L", "K"), intCol("L", "P")
+	rk, rp := intCol("R", "K"), intCol("R", "P")
+	lsc, rsc := schema.New(lk, lp), schema.New(rk, rp)
+
+	mk := func() (Operator, Operator) {
+		hash := NewHashJoin(
+			NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+			[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)}, nil)
+		nlj := NewNestedLoopJoin(
+			NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+			expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)))
+		return hash, nlj
+	}
+	hash, nlj := mk()
+	got := rowStrings(runAll(t, hash))
+	want := rowStrings(runAll(t, nlj))
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("hash join diverges from nested loop:\nhash: %v\nnlj:  %v", got, want)
+	}
+
+	// With a residual: equi-key plus a non-equi conjunct.
+	hashR := NewHashJoin(
+		NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+		[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)},
+		expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp)))
+	nljR := NewNestedLoopJoin(
+		NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+		expr.NewAnd(
+			expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)),
+			expr.NewCmp(expr.LT, expr.NewColRef(lp), expr.NewColRef(rp))))
+	gotR := rowStrings(runAll(t, hashR))
+	wantR := rowStrings(runAll(t, nljR))
+	if fmt.Sprint(gotR) != fmt.Sprint(wantR) {
+		t.Fatalf("residual hash join diverges:\nhash: %v\nnlj:  %v", gotR, wantR)
+	}
+}
+
+// TestHashJoinNegativeZeroMatchesZero: Compare calls -0 and 0 equal, so
+// the hash operators must find the match the nested loop finds.
+func TestHashJoinNegativeZeroMatchesZero(t *testing.T) {
+	lk, lp := intCol("L", "K"), intCol("L", "P")
+	rk, rp := intCol("R", "K"), intCol("R", "P")
+	lsc, rsc := schema.New(lk, lp), schema.New(rk, rp)
+	lrows := []types.Tuple{{types.Float(math.Copysign(0, -1)), types.Int(1)}}
+	rrows := []types.Tuple{{types.Int(0), types.Int(2)}}
+	keys := func(c schema.Column) []expr.Expr { return []expr.Expr{expr.NewColRef(c)} }
+	want := "[<-0, 1, 0, 2>]"
+	nlj := NewNestedLoopJoin(NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+		expr.NewCmp(expr.EQ, expr.NewColRef(lk), expr.NewColRef(rk)))
+	if got := fmt.Sprint(runAll(t, nlj)); got != want {
+		t.Fatalf("nested loop: %s, want %s", got, want)
+	}
+	hj := NewHashJoin(NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows), keys(lk), keys(rk), nil)
+	if got := fmt.Sprint(runAll(t, hj)); got != want {
+		t.Errorf("hash join: %s, want %s", got, want)
+	}
+	sj := NewHashSemiJoin(NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows), keys(lk), keys(rk))
+	if got := fmt.Sprint(runAll(t, sj)); got != "[<-0, 1>]" {
+		t.Errorf("hash semi join: %s, want [<-0, 1>]", got)
 	}
 }
 
@@ -168,6 +226,33 @@ func TestHashSemiJoinMatchesDistinctProbe(t *testing.T) {
 	}
 	if fmt.Sprint(rowStrings(got)) != fmt.Sprint(rowStrings(want)) {
 		t.Fatalf("semi join:\ngot:  %v\nwant: %v", got, want)
+	}
+
+	// Mixed key kinds: the reference is the nested-loop test itself,
+	// Compare == 0 against some non-NULL right key.
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("mixed-seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			// A short right side leaves keys unmatched except across kinds.
+			lrows := randMixedTable(rng, 40+rng.Intn(40), 0.1)
+			rrows := randMixedTable(rng, 3+rng.Intn(6), 0.1)
+			sj := NewHashSemiJoin(
+				NewValuesScan(lsc, lrows), NewValuesScan(rsc, rrows),
+				[]expr.Expr{expr.NewColRef(lk)}, []expr.Expr{expr.NewColRef(rk)})
+			got := runAll(t, sj)
+			var want []types.Tuple
+			for _, l := range lrows {
+				for _, r := range rrows {
+					if !l[0].IsNull() && !r[0].IsNull() && l[0].Compare(r[0]) == 0 {
+						want = append(want, l)
+						break
+					}
+				}
+			}
+			if fmt.Sprint(rowStrings(got)) != fmt.Sprint(rowStrings(want)) {
+				t.Fatalf("semi join:\ngot:  %v\nwant: %v", got, want)
+			}
+		})
 	}
 }
 

@@ -60,12 +60,14 @@ func (s *TableScan) Next(ctx *Context) (types.Tuple, bool, error) {
 }
 
 // NextBatch implements BatchOperator: one storage-scanner loop per batch
-// instead of one protocol call per stored tuple.
+// instead of one protocol call per stored tuple. Each record is decoded
+// straight out of the scanner's page view into a fresh tuple, and the
+// batch is allocated once at its final capacity, max.
 func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	if s.sc == nil {
 		return nil, false, fmt.Errorf("TableScan(%s): NextBatch before Open", s.Table.Def.Name)
 	}
-	var out Batch
+	out := make(Batch, 0, min(max, maxScanPrealloc))
 	for len(out) < max {
 		_, raw, ok, err := s.sc.Next()
 		if err != nil {
@@ -89,6 +91,11 @@ func (s *TableScan) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	}
 	return out, true, nil
 }
+
+// maxScanPrealloc bounds the capacity TableScan.NextBatch allocates up
+// front, so an oversized batch request cannot force a huge allocation
+// for a short table; batches beyond it grow by append.
+const maxScanPrealloc = 4 * DefaultBatchSize
 
 // Close implements Operator.
 func (s *TableScan) Close() error {

@@ -245,7 +245,8 @@ func (l *Limit) Describe() string { return fmt.Sprintf("%d", l.N) }
 // ReqSync percolation (clash case 3 in Section 4.5.2).
 type Distinct struct {
 	Child Operator
-	seen  map[string]bool
+	seen  tupleSet
+	keep  []bool // NextBatch scratch: which input tuples are new
 }
 
 // NewDistinct builds a duplicate-eliminating operator.
@@ -256,7 +257,7 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) error {
-	d.seen = make(map[string]bool)
+	d.seen = newTupleSet()
 	return d.Child.Open(ctx)
 }
 
@@ -267,42 +268,39 @@ func (d *Distinct) Next(ctx *Context) (types.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := t.Key()
-		if d.seen[k] {
-			continue
+		if d.seen.add(t) {
+			return t, true, nil
 		}
-		d.seen[k] = true
-		return t, true, nil
 	}
 }
 
 // NextBatch implements BatchOperator: duplicate elimination over whole
-// child batches, survivors in a fresh slice, looping until at least one
-// new tuple appears or the child is exhausted.
+// child batches, survivors in a fresh slice allocated at its final
+// length, looping until at least one new tuple appears or the child is
+// exhausted.
 func (d *Distinct) NextBatch(ctx *Context, max int) (Batch, bool, error) {
 	for {
 		in, ok, err := NextBatchFrom(ctx, d.Child, max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		var out Batch
-		for _, t := range in {
-			k := t.Key()
-			if d.seen[k] {
-				continue
+		d.keep = growBools(d.keep, len(in))
+		n := 0
+		for i, t := range in {
+			d.keep[i] = d.seen.add(t)
+			if d.keep[i] {
+				n++
 			}
-			d.seen[k] = true
-			out = append(out, t)
 		}
-		if len(out) > 0 {
-			return out, true, nil
+		if n > 0 {
+			return compact(in, d.keep, n), true, nil
 		}
 	}
 }
 
 // Close implements Operator.
 func (d *Distinct) Close() error {
-	d.seen = nil
+	d.seen = tupleSet{}
 	return d.Child.Close()
 }
 

@@ -512,11 +512,11 @@ func (a *Arith) Eval(env *Env, row types.Tuple) (types.Value, error) {
 	if lv.Kind == types.KindInt && rv.Kind == types.KindInt && a.Op != Div {
 		switch a.Op {
 		case Add:
-			return types.Int(lv.I + rv.I), nil
+			return types.Int(lv.I() + rv.I()), nil
 		case Sub:
-			return types.Int(lv.I - rv.I), nil
+			return types.Int(lv.I() - rv.I()), nil
 		case Mul:
-			return types.Int(lv.I * rv.I), nil
+			return types.Int(lv.I() * rv.I()), nil
 		}
 	}
 	lf, err := lv.AsFloat()

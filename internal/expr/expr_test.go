@@ -34,7 +34,7 @@ func TestColRefEval(t *testing.T) {
 	if got := mustEval(t, NewColRef(name), s, row); got.S != "Utah" {
 		t.Errorf("got %v", got)
 	}
-	if got := mustEval(t, NewColRef(pop), s, row); got.I != 2100000 {
+	if got := mustEval(t, NewColRef(pop), s, row); got.I() != 2100000 {
 		t.Errorf("got %v", got)
 	}
 }
@@ -66,11 +66,11 @@ func TestEnvFrameNesting(t *testing.T) {
 	env := &Env{}
 	env.PushFrame(map[schema.AttrID]types.Value{id: types.Int(1)})
 	env.PushFrame(map[schema.AttrID]types.Value{id: types.Int(2)})
-	if v, _ := env.Lookup(id); v.I != 2 {
+	if v, _ := env.Lookup(id); v.I() != 2 {
 		t.Error("innermost frame should win")
 	}
 	env.PopFrame()
-	if v, _ := env.Lookup(id); v.I != 1 {
+	if v, _ := env.Lookup(id); v.I() != 1 {
 		t.Error("outer frame should be visible after pop")
 	}
 	env.PopFrame()

@@ -27,7 +27,7 @@ func fuzzValue(kind byte, i int64, s string) types.Value {
 // since determinism is about identical outputs, not IEEE comparison rules.
 func sameValue(a, b types.Value) bool {
 	if a.Kind == types.KindFloat && b.Kind == types.KindFloat {
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
+		return math.Float64bits(a.F()) == math.Float64bits(b.F())
 	}
 	return reflect.DeepEqual(a, b)
 }

@@ -153,7 +153,7 @@ func TestPlanBindingToConstant(t *testing.T) {
 	// Stub count = len("NAME near four corners").
 	for _, r := range rows {
 		wantQ := r[0].AsString() + " near four corners"
-		if r[1].I != int64(len(wantQ)) {
+		if r[1].I() != int64(len(wantQ)) {
 			t.Errorf("default SearchExp %%1 near %%2 not used: %v", r)
 		}
 	}
@@ -166,7 +166,7 @@ func TestPlanExplicitSearchExp(t *testing.T) {
 	rows := runPlan(t, op)
 	for _, r := range rows {
 		wantQ := `"` + r[0].AsString() + `" AND politics`
-		if r[1].I != int64(len(wantQ)) {
+		if r[1].I() != int64(len(wantQ)) {
 			t.Errorf("explicit SearchExp ignored: %v (want len %d)", r, len(wantQ))
 		}
 	}
@@ -214,7 +214,7 @@ func TestPlanQuery4TwoOccurrences(t *testing.T) {
 		t.Fatalf("rows: %v", rows)
 	}
 	for _, r := range rows {
-		if r[1].I <= r[3].I {
+		if r[1].I() <= r[3].I() {
 			t.Errorf("retained predicate not applied: %v", r)
 		}
 	}
@@ -257,7 +257,7 @@ func TestPlanVirtualFirstWithConstants(t *testing.T) {
 	// A virtual table first in FROM is fine when bound by constants.
 	op := planSQL(t, p, `SELECT Count FROM WebCount WHERE T1 = 'California'`)
 	rows := runPlan(t, op)
-	if len(rows) != 1 || rows[0][0].I != int64(len("California")) {
+	if len(rows) != 1 || rows[0][0].I() != int64(len("California")) {
 		t.Fatalf("rows: %v", rows)
 	}
 }
@@ -271,14 +271,14 @@ func TestPlanAggregates(t *testing.T) {
 		t.Fatalf("groups: %v", rows)
 	}
 	for _, r := range rows {
-		if r[1].I != 1 {
+		if r[1].I() != 1 {
 			t.Errorf("count per capital: %v", r)
 		}
 	}
 	// Global aggregate.
 	op = planSQL(t, p, `SELECT COUNT(*) FROM States`)
 	rows = runPlan(t, op)
-	if len(rows) != 1 || rows[0][0].I != 3 {
+	if len(rows) != 1 || rows[0][0].I() != 3 {
 		t.Fatalf("global count: %v", rows)
 	}
 	// Non-grouped select item must be rejected.
@@ -419,7 +419,7 @@ func TestPlanWebFetch(t *testing.T) {
 	p := newPlanner(t)
 	op := planSQL(t, p, `SELECT Content, Status FROM WebFetch WHERE URL = 'www.x.com'`)
 	rows := runPlan(t, op)
-	if len(rows) != 1 || rows[0][1].I != 200 {
+	if len(rows) != 1 || rows[0][1].I() != 200 {
 		t.Fatalf("webfetch: %v", rows)
 	}
 	if !strings.Contains(rows[0][0].AsString(), "www.x.com") {

@@ -41,10 +41,10 @@ func TestParseType(t *testing.T) {
 }
 
 func TestTypeZeroValue(t *testing.T) {
-	if v := TInt.ZeroValue(); v.Kind != types.KindInt || v.I != 0 {
+	if v := TInt.ZeroValue(); v.Kind != types.KindInt || v.I() != 0 {
 		t.Error("TInt zero")
 	}
-	if v := TFloat.ZeroValue(); v.Kind != types.KindFloat || v.F != 0 {
+	if v := TFloat.ZeroValue(); v.Kind != types.KindFloat || v.F() != 0 {
 		t.Error("TFloat zero")
 	}
 	if v := TString.ZeroValue(); v.Kind != types.KindString || v.S != "" {

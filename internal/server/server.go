@@ -563,9 +563,9 @@ func encodeRows(rows []types.Tuple) [][]interface{} {
 			case types.KindNull:
 				r[j] = nil
 			case types.KindInt:
-				r[j] = v.I
+				r[j] = v.I()
 			case types.KindFloat:
-				r[j] = v.F
+				r[j] = v.F()
 			default:
 				r[j] = v.AsString()
 			}

@@ -106,7 +106,7 @@ func TestFlightGroupCollapses(t *testing.T) {
 				<-gate
 				return []types.Tuple{{types.Int(42)}}, true
 			})
-			if !ok || rows[0][0].I != 42 {
+			if !ok || rows[0][0].I() != 42 {
 				t.Errorf("caller %d got wrong result: %v %v", i, rows, ok)
 			}
 			shared[i] = sh

@@ -76,7 +76,7 @@ func TestWorkerCacheGetFillRoundTrip(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("post-fill get = %d, want 200", code)
 	}
-	if len(got) != 1 || got[0][0].S != "texas" || got[0][1].I != 12 {
+	if len(got) != 1 || got[0][0].S != "texas" || got[0][1].I() != 12 {
 		t.Fatalf("rows did not round-trip: %+v", got)
 	}
 	st := w.Stats()
@@ -124,7 +124,7 @@ func TestWorkerPromiseCoalescing(t *testing.T) {
 	postFill(t, srv.URL, "hot", []types.Tuple{{types.Int(7)}})
 
 	r := <-done
-	if r.code != http.StatusOK || len(r.rows) != 1 || r.rows[0][0].I != 7 {
+	if r.code != http.StatusOK || len(r.rows) != 1 || r.rows[0][0].I() != 7 {
 		t.Fatalf("waiting get: code=%d rows=%+v", r.code, r.rows)
 	}
 	if st := w.Stats(); st.PromiseServed != 1 {
@@ -306,7 +306,7 @@ func TestPeersFetchAndFill(t *testing.T) {
 	home.opt.Cache.Put(key, []types.Tuple{{types.Int(5)}})
 
 	rows, ok := peers.Fetch(context.Background(), key)
-	if !ok || rows[0][0].I != 5 {
+	if !ok || rows[0][0].I() != 5 {
 		t.Fatalf("fetch = %v %v", rows, ok)
 	}
 
@@ -327,7 +327,7 @@ func TestPeersFetchAndFill(t *testing.T) {
 	peers.Fill(key, []types.Tuple{{types.Int(9)}})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if got, ok := home.opt.Cache.Get(key); ok && got[0][0].I == 9 {
+		if got, ok := home.opt.Cache.Get(key); ok && got[0][0].I() == 9 {
 			break
 		}
 		if time.Now().After(deadline) {

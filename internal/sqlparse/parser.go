@@ -283,9 +283,9 @@ func (p *Parser) parseLiteralValue() (types.Value, error) {
 		}
 		if neg {
 			if v.Kind == types.KindInt {
-				v.I = -v.I
+				v = types.Int(-v.I())
 			} else {
-				v.F = -v.F
+				v = types.Float(-v.F())
 			}
 		}
 		return v, nil

@@ -223,10 +223,10 @@ func TestParseInsert(t *testing.T) {
 	if len(ins.Rows) != 2 || len(ins.Rows[0]) != 3 {
 		t.Fatalf("%+v", ins)
 	}
-	if ins.Rows[0][0].S != "Utah" || ins.Rows[0][1].I != 2100000 {
+	if ins.Rows[0][0].S != "Utah" || ins.Rows[0][1].I() != 2100000 {
 		t.Errorf("row0: %v", ins.Rows[0])
 	}
-	if ins.Rows[1][1].I != -5 {
+	if ins.Rows[1][1].I() != -5 {
 		t.Errorf("negative literal: %v", ins.Rows[1][1])
 	}
 	if ins.Rows[1][2].Kind != types.KindNull {

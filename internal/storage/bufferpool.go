@@ -92,15 +92,15 @@ func (bp *BufferPool) Pin(pageNo uint32) (*Page, error) {
 		return &fr.page, nil
 	}
 	bp.Misses++
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.makeRoom()
+	if err != nil {
 		return nil, err
 	}
-	fr := &frame{pageNo: pageNo, pins: 1}
 	if _, err := bp.file.ReadAt(fr.page.Bytes(), int64(pageNo)*PageSize); err != nil {
+		bp.release(fr)
 		return nil, fmt.Errorf("read page %d: %w", pageNo, err)
 	}
-	fr.elem = bp.lru.PushFront(fr)
-	bp.frames[pageNo] = fr
+	bp.install(fr, pageNo, false)
 	return &fr.page, nil
 }
 
@@ -109,18 +109,18 @@ func (bp *BufferPool) Pin(pageNo uint32) (*Page, error) {
 func (bp *BufferPool) AppendPage() (uint32, *Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.makeRoom()
+	if err != nil {
 		return 0, nil, err
 	}
 	pageNo := bp.numPages
-	fr := &frame{pageNo: pageNo, pins: 1, dirty: true}
 	fr.page.Reset()
 	if _, err := bp.file.WriteAt(fr.page.Bytes(), int64(pageNo)*PageSize); err != nil {
+		bp.release(fr)
 		return 0, nil, fmt.Errorf("extend file with page %d: %w", pageNo, err)
 	}
 	bp.numPages++
-	fr.elem = bp.lru.PushFront(fr)
-	bp.frames[pageNo] = fr
+	bp.install(fr, pageNo, true)
 	return pageNo, &fr.page, nil
 }
 
@@ -142,11 +142,16 @@ func (bp *BufferPool) Unpin(pageNo uint32, dirty bool) error {
 	return nil
 }
 
-// makeRoom evicts the least recently used unpinned frame if the pool is at
-// capacity, writing it back if dirty. Callers hold bp.mu.
-func (bp *BufferPool) makeRoom() error {
+// makeRoom returns a frame for a new resident page: a fresh one while
+// the pool is below capacity, otherwise the least recently used unpinned
+// frame, evicted (written back first if dirty) and handed over for reuse
+// so that a miss on a full pool allocates nothing. An evicted frame
+// leaves the frame map but keeps its LRU element until install moves it
+// to the front, or release drops it if the caller cannot fill the frame.
+// Callers hold bp.mu from makeRoom through install or release.
+func (bp *BufferPool) makeRoom() (*frame, error) {
 	if len(bp.frames) < bp.maxFrames {
-		return nil
+		return &frame{}, nil
 	}
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
 		fr := e.Value.(*frame)
@@ -155,15 +160,35 @@ func (bp *BufferPool) makeRoom() error {
 		}
 		if fr.dirty {
 			if _, err := bp.file.WriteAt(fr.page.Bytes(), int64(fr.pageNo)*PageSize); err != nil {
-				return fmt.Errorf("write back page %d: %w", fr.pageNo, err)
+				return nil, fmt.Errorf("write back page %d: %w", fr.pageNo, err)
 			}
 		}
-		bp.lru.Remove(e)
 		delete(bp.frames, fr.pageNo)
 		bp.Evictions++
-		return nil
+		return fr, nil
 	}
-	return fmt.Errorf("buffer pool exhausted: all %d frames pinned", bp.maxFrames)
+	return nil, fmt.Errorf("buffer pool exhausted: all %d frames pinned", bp.maxFrames)
+}
+
+// install makes fr, from makeRoom, the pinned resident frame of pageNo
+// at the front of the LRU list.
+func (bp *BufferPool) install(fr *frame, pageNo uint32, dirty bool) {
+	fr.pageNo, fr.pins, fr.dirty = pageNo, 1, dirty
+	if fr.elem == nil {
+		fr.elem = bp.lru.PushFront(fr)
+	} else {
+		bp.lru.MoveToFront(fr.elem)
+	}
+	bp.frames[pageNo] = fr
+}
+
+// release drops fr, from makeRoom, when it could not be filled; the pool
+// is then one frame short of capacity until the next miss.
+func (bp *BufferPool) release(fr *frame) {
+	if fr.elem != nil {
+		bp.lru.Remove(fr.elem)
+		fr.elem = nil
+	}
 }
 
 // FlushAll writes every dirty resident page back to disk.

@@ -155,8 +155,14 @@ func (h *HeapFile) NewScanner() *Scanner {
 	return &Scanner{h: h, slot: -1}
 }
 
-// Next advances to the next live record, returning its RID and a copy of
-// its bytes. It returns ok=false when the scan is exhausted.
+// Next advances to the next live record, returning its RID and its
+// bytes. It returns ok=false when the scan is exhausted.
+//
+// The bytes are a view of the pinned page, not a copy: they stay valid
+// only until the next call to Next or Close, which may unpin the page
+// and let the buffer pool reuse its frame for another page. A caller
+// that keeps a record past that point must copy it (types.DecodeTuple
+// already copies everything it returns).
 func (s *Scanner) Next() (RID, []byte, bool, error) {
 	if s.done {
 		return RID{}, nil, false, nil
@@ -192,9 +198,7 @@ func (s *Scanner) Next() (RID, []byte, bool, error) {
 		if err != nil {
 			return RID{}, nil, false, err
 		}
-		out := make([]byte, len(raw))
-		copy(out, raw)
-		return RID{Page: s.page, Slot: uint16(s.slot)}, out, true, nil
+		return RID{Page: s.page, Slot: uint16(s.slot)}, raw, true, nil
 	}
 }
 

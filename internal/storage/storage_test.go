@@ -252,6 +252,76 @@ func TestBufferPoolEviction(t *testing.T) {
 	}
 }
 
+// TestBufferPoolMissAllocatesNothing: on a full pool a miss reuses the
+// evicted frame (and its LRU element) instead of allocating a new one.
+func TestBufferPoolMissAllocatesNothing(t *testing.T) {
+	h := openTemp(t, 2)
+	for h.NumPages() < 5 {
+		if _, err := h.Insert(bytes.Repeat([]byte("m"), 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := h.Pool()
+	pageNo := uint32(0)
+	pinNext := func() {
+		if _, err := bp.Pin(pageNo); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Unpin(pageNo, false); err != nil {
+			t.Fatal(err)
+		}
+		pageNo = (pageNo + 1) % 5 // five pages through two frames: every pin misses
+	}
+	for i := 0; i < 5; i++ {
+		pinNext()
+	}
+	_, misses, _ := bp.StatsSnapshot()
+	if n := testing.AllocsPerRun(100, pinNext); n != 0 {
+		t.Errorf("buffer pool miss: %v allocs, want 0", n)
+	}
+	if _, after, _ := bp.StatsSnapshot(); after-misses != 101 {
+		t.Errorf("%d misses over 101 pins, want every pin to miss", after-misses)
+	}
+}
+
+// TestScanThroughReusedFrames: with two frames, every page of a scan is
+// read into a frame that held another page, and every record must still
+// read back exactly as written.
+func TestScanThroughReusedFrames(t *testing.T) {
+	h := openTemp(t, 2)
+	var want []string
+	for i := 0; i < 600; i++ {
+		rec := fmt.Sprintf("record-%04d-%s", i, bytes.Repeat([]byte{byte('a' + i%26)}, i%90))
+		if _, err := h.Insert([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	for pass := 0; pass < 2; pass++ {
+		sc := h.NewScanner()
+		i := 0
+		for {
+			_, rec, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if i >= len(want) || string(rec) != want[i] {
+				t.Fatalf("pass %d record %d: %q", pass, i, rec)
+			}
+			i++
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(want) {
+			t.Fatalf("pass %d: %d records, want %d", pass, i, len(want))
+		}
+	}
+}
+
 func TestBufferPoolPinAccounting(t *testing.T) {
 	h := openTemp(t, 4)
 	if _, err := h.Insert([]byte("x")); err != nil {

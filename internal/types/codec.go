@@ -2,6 +2,7 @@ package types
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -21,12 +22,12 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 			buf = append(buf, byte(KindNull))
 		case KindInt:
 			buf = append(buf, byte(KindInt))
-			n := binary.PutVarint(tmp[:], v.I)
+			n := binary.PutVarint(tmp[:], v.I())
 			buf = append(buf, tmp[:n]...)
 		case KindFloat:
 			buf = append(buf, byte(KindFloat))
 			var fb [8]byte
-			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v.F))
+			binary.LittleEndian.PutUint64(fb[:], math.Float64bits(v.F()))
 			buf = append(buf, fb[:]...)
 		case KindString:
 			buf = append(buf, byte(KindString))
@@ -34,7 +35,7 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 			buf = append(buf, tmp[:n]...)
 			buf = append(buf, v.S...)
 		case KindPlaceholder:
-			return nil, fmt.Errorf("cannot persist placeholder value (call %d)", v.Call)
+			return nil, fmt.Errorf("cannot persist placeholder value (call %d)", v.Call())
 		default:
 			return nil, fmt.Errorf("cannot encode value of kind %s", v.Kind)
 		}
@@ -43,10 +44,18 @@ func EncodeTuple(t Tuple) ([]byte, error) {
 }
 
 // DecodeTuple deserializes a tuple previously produced by EncodeTuple.
+// The tuple and its strings are fresh allocations that never alias b, so
+// b may be a view of a pinned page (see storage.Scanner.Next).
 func DecodeTuple(b []byte) (Tuple, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
 		return nil, fmt.Errorf("corrupt tuple: bad arity varint")
+	}
+	// Every value takes at least its kind byte, so a larger arity is
+	// corrupt; checking first keeps the allocation below bounded by the
+	// record size.
+	if n > uint64(len(b)-off) {
+		return nil, fmt.Errorf("corrupt tuple: arity %d exceeds %d remaining bytes", n, len(b)-off)
 	}
 	t := make(Tuple, 0, n)
 	pos := off
@@ -89,4 +98,46 @@ func DecodeTuple(b []byte) (Tuple, error) {
 		}
 	}
 	return t, nil
+}
+
+// wireValue is the JSON shape of a Value: the exported struct fields the
+// type had before its payload moved behind accessors. Cache peers
+// exchange []Tuple in this shape, so nodes running either layout
+// interoperate.
+type wireValue struct {
+	Kind  Kind
+	I     int64
+	F     float64
+	S     string
+	Call  CallID
+	Field int
+}
+
+// MarshalJSON implements json.Marshaler with the wireValue shape.
+func (v Value) MarshalJSON() ([]byte, error) {
+	return json.Marshal(wireValue{Kind: v.Kind, I: v.I(), F: v.F(), S: v.S, Call: v.Call(), Field: v.Field()})
+}
+
+// UnmarshalJSON implements json.Unmarshaler for the wireValue shape,
+// keeping the payload the kind selects.
+func (v *Value) UnmarshalJSON(b []byte) error {
+	var w wireValue
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	switch w.Kind {
+	case KindNull:
+		*v = Null()
+	case KindInt:
+		*v = Int(w.I)
+	case KindFloat:
+		*v = Float(w.F)
+	case KindString:
+		*v = Str(w.S)
+	case KindPlaceholder:
+		*v = Placeholder(w.Call, w.Field)
+	default:
+		return fmt.Errorf("unknown value kind %d", w.Kind)
+	}
+	return nil
 }

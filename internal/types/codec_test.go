@@ -1,6 +1,8 @@
 package types
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -82,7 +84,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 			}
 			switch tup[i].Kind {
 			case KindInt:
-				if got[i].I != tup[i].I {
+				if got[i].I() != tup[i].I() {
 					return false
 				}
 			case KindString:
@@ -92,7 +94,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 			case KindFloat:
 				// NaN round-trips bit-exactly but NaN != NaN; compare bits
 				// via string formatting of the struct field.
-				if got[i].F != tup[i].F && !(tup[i].F != tup[i].F && got[i].F != got[i].F) {
+				if got[i].F() != tup[i].F() && !(tup[i].F() != tup[i].F() && got[i].F() != got[i].F()) {
 					return false
 				}
 			}
@@ -101,5 +103,56 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueJSONWireFormat pins the bytes cache peers exchange: the
+// field set and order of the struct Value used to be, so nodes running
+// either layout interoperate.
+func TestValueJSONWireFormat(t *testing.T) {
+	got, err := json.Marshal([]Value{Null(), Int(-7), Float(2.5), Str("x"), Placeholder(9, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"Kind":0,"I":0,"F":0,"S":"","Call":0,"Field":0},` +
+		`{"Kind":1,"I":-7,"F":0,"S":"","Call":0,"Field":0},` +
+		`{"Kind":2,"I":0,"F":2.5,"S":"","Call":0,"Field":0},` +
+		`{"Kind":3,"I":0,"F":0,"S":"x","Call":0,"Field":0},` +
+		`{"Kind":4,"I":0,"F":0,"S":"","Call":9,"Field":2}]`
+	if string(got) != want {
+		t.Fatalf("wire format changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestValueJSONRoundTrip(t *testing.T) {
+	in := []Tuple{
+		{Null(), Int(0), Int(math.MinInt64), Int(math.MaxInt64)},
+		{Float(0), Float(math.Copysign(0, -1)), Float(-1e-300), Float(math.MaxFloat64)},
+		{Str(""), Str("<a & b>"), Str("\x1f\"\\é")},
+		{Placeholder(0, 0), Placeholder(1<<40, 7)},
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Tuple
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("got %d tuples, want %d", len(out), len(in))
+	}
+	for i := range in {
+		for j, v := range in[i] {
+			w := out[i][j]
+			// Equal compares -0 and 0 alike; the bits must survive too.
+			if w.Kind != v.Kind || !w.Equal(v) || math.Signbit(w.F()) != math.Signbit(v.F()) {
+				t.Errorf("value %d.%d: %v (%s) round-tripped to %v (%s)", i, j, v, v.Kind, w, w.Kind)
+			}
+		}
+	}
+	var bad Value
+	if err := json.Unmarshal([]byte(`{"Kind":9}`), &bad); err == nil {
+		t.Error("unknown kind must not decode")
 	}
 }

@@ -1,6 +1,9 @@
 package types
 
 import (
+	"hash/maphash"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +15,7 @@ func TestTupleClone(t *testing.T) {
 		t.Fatal("clone should equal original")
 	}
 	c[0] = Int(99)
-	if orig[0].I != 1 {
+	if orig[0].I() != 1 {
 		t.Error("mutating clone affected original")
 	}
 	if Tuple(nil).Clone() != nil {
@@ -24,12 +27,12 @@ func TestTupleConcat(t *testing.T) {
 	a := Tuple{Int(1)}
 	b := Tuple{Str("x"), Int(2)}
 	c := a.Concat(b)
-	if len(c) != 3 || c[0].I != 1 || c[1].S != "x" || c[2].I != 2 {
+	if len(c) != 3 || c[0].I() != 1 || c[1].S != "x" || c[2].I() != 2 {
 		t.Errorf("concat wrong: %v", c)
 	}
 	// Concat must not alias its inputs.
 	c[0] = Int(9)
-	if a[0].I != 1 {
+	if a[0].I() != 1 {
 		t.Error("concat aliases input")
 	}
 }
@@ -105,5 +108,71 @@ func TestTupleKeyPropertyEqualImpliesSameKey(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// groupingValues is a seeded mix on which kind-exact and numeric
+// equality disagree: zeros of both signs, int/float twins, several NaN
+// payloads, strings that spell numbers or contain the key separator, and
+// placeholders.
+func groupingValues(rng *rand.Rand) []Value {
+	vals := []Value{
+		Null(), Int(0), Int(1), Int(-1), Float(0), Float(math.Copysign(0, -1)),
+		Float(1), Float(-1), Float(2.5), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000abc)),
+		Float(math.Float64frombits(0xfff0000000000001)),
+		Str(""), Str("0"), Str("1"), Str("a"), Str("a\x1f3:b"), Str("\x1f"),
+		Placeholder(1, 0), Placeholder(1, 1), Placeholder(2, 0),
+	}
+	for i := 0; i < 8; i++ {
+		vals = append(vals, Int(rng.Int63n(5)), Float(float64(rng.Intn(5))))
+	}
+	return vals
+}
+
+// TestTupleKeyHashAgreesWithKey pins the grouping contract DISTINCT and
+// GROUP BY rely on: for tuples of one arity, KeyEqual holds exactly when
+// the keys are equal, and equal keys hash alike.
+func TestTupleKeyHashAgreesWithKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := groupingValues(rng)
+	seed := maphash.MakeSeed()
+	for arity := 1; arity <= 3; arity++ {
+		tuples := make([]Tuple, 300)
+		for i := range tuples {
+			tuples[i] = make(Tuple, arity)
+			for j := range tuples[i] {
+				tuples[i][j] = vals[rng.Intn(len(vals))]
+			}
+		}
+		// Separator-bearing strings can make different tuples share a key.
+		if arity == 2 {
+			tuples = append(tuples, Tuple{Str("a"), Str("b")}, Tuple{Str("a\x1f3:b"), Str("")}, Tuple{Str("a"), Str("b\x1f3:")})
+		}
+		for _, a := range tuples {
+			for _, b := range tuples {
+				keyEq := a.Key() == b.Key()
+				if got := a.KeyEqual(b); got != keyEq {
+					t.Fatalf("KeyEqual(%v, %v) = %v, Key equality %v", a, b, got, keyEq)
+				}
+				if keyEq && a.KeyHash(seed) != b.KeyHash(seed) {
+					t.Fatalf("Key-equal %v and %v hash apart", a, b)
+				}
+			}
+		}
+	}
+	nan := Float(math.NaN())
+	for _, c := range []struct {
+		a, b Value
+		same bool
+	}{
+		{Int(1), Float(1), false},
+		{Float(0), Float(math.Copysign(0, -1)), false},
+		{nan, Float(math.Float64frombits(0x7ff8000000000abc)), true},
+		{Int(0), Int(0), true},
+	} {
+		if got := (Tuple{c.a}).KeyEqual(Tuple{c.b}); got != c.same {
+			t.Errorf("KeyEqual(%v, %v) = %v, want %v", c.a, c.b, got, c.same)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -55,25 +56,36 @@ type CallID uint64
 
 // Value is a dynamically typed scalar. The zero Value is NULL.
 //
-// A Value of KindPlaceholder stands for "the Field-th column of the result
-// rows of pending call Call". See the package comment.
+// A Value of KindPlaceholder stands for "the Field()-th column of the
+// result rows of pending call Call()". See the package comment.
+//
+// The layout is 32 bytes: the string header first, then one 8-byte
+// payload shared by the int, float and call-id kinds, then the
+// placeholder's field index and the kind tag in what would otherwise be
+// padding. Putting the string first makes word 0 the struct's only
+// pointer, so the garbage collector scans one word per value and stops
+// (the trailing scalar words are outside the type's pointer prefix).
+// The payload is read through the kind-checked accessors I, F, Call and
+// Field, which return zero for a value of another kind.
 type Value struct {
+	// S is the payload of a KindString value ("" for every other kind).
+	S string
+	// bits holds an int64 (KindInt), the IEEE-754 bits of a float64
+	// (KindFloat) or a CallID (KindPlaceholder).
+	bits uint64
+	// field is the placeholder's result-row column.
+	field int32
 	Kind  Kind
-	I     int64
-	F     float64
-	S     string
-	Call  CallID // valid when Kind == KindPlaceholder
-	Field int    // valid when Kind == KindPlaceholder
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{Kind: KindNull} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, bits: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, bits: math.Float64bits(f)} }
 
 // String_ returns a string value. (Named with a trailing underscore because
 // String is taken by the Stringer method.)
@@ -84,7 +96,40 @@ func Str(s string) Value { return Value{Kind: KindString, S: s} }
 
 // Placeholder returns a placeholder value for field f of pending call c.
 func Placeholder(c CallID, f int) Value {
-	return Value{Kind: KindPlaceholder, Call: c, Field: f}
+	return Value{Kind: KindPlaceholder, bits: uint64(c), field: int32(f)}
+}
+
+// I returns the payload of a KindInt value, or 0 for any other kind.
+func (v Value) I() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.bits)
+}
+
+// F returns the payload of a KindFloat value, or 0 for any other kind.
+func (v Value) F() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.bits)
+}
+
+// Call returns the pending call of a placeholder, or 0 for any other kind.
+func (v Value) Call() CallID {
+	if v.Kind != KindPlaceholder {
+		return 0
+	}
+	return CallID(v.bits)
+}
+
+// Field returns the result-row column of a placeholder, or 0 for any
+// other kind.
+func (v Value) Field() int {
+	if v.Kind != KindPlaceholder {
+		return 0
+	}
+	return int(v.field)
 }
 
 // Bool encodes a boolean as an integer value (1 or 0), matching the engine's
@@ -107,9 +152,9 @@ func (v Value) IsPlaceholder() bool { return v.Kind == KindPlaceholder }
 func (v Value) Truthy() bool {
 	switch v.Kind {
 	case KindInt:
-		return v.I != 0
+		return v.I() != 0
 	case KindFloat:
-		return v.F != 0
+		return v.F() != 0
 	case KindString:
 		return v.S != ""
 	default:
@@ -121,9 +166,9 @@ func (v Value) Truthy() bool {
 func (v Value) AsInt() (int64, error) {
 	switch v.Kind {
 	case KindInt:
-		return v.I, nil
+		return v.I(), nil
 	case KindFloat:
-		return int64(v.F), nil
+		return int64(v.F()), nil
 	case KindString:
 		n, err := strconv.ParseInt(v.S, 10, 64)
 		if err != nil {
@@ -141,9 +186,9 @@ func (v Value) AsInt() (int64, error) {
 func (v Value) AsFloat() (float64, error) {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.I), nil
+		return float64(v.I()), nil
 	case KindFloat:
-		return v.F, nil
+		return v.F(), nil
 	case KindString:
 		f, err := strconv.ParseFloat(v.S, 64)
 		if err != nil {
@@ -163,13 +208,13 @@ func (v Value) AsString() string {
 	case KindString:
 		return v.S
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.I(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindNull:
 		return ""
 	case KindPlaceholder:
-		return fmt.Sprintf("?call:%d.%d", v.Call, v.Field)
+		return fmt.Sprintf("?call:%d.%d", v.Call(), v.Field())
 	default:
 		return ""
 	}
@@ -181,7 +226,7 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindPlaceholder:
-		return fmt.Sprintf("<pending %d#%d>", v.Call, v.Field)
+		return fmt.Sprintf("<pending %d#%d>", v.Call(), v.Field())
 	default:
 		return v.AsString()
 	}
@@ -203,18 +248,21 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindInt:
-		return v.I == o.I
+		return v.I() == o.I()
 	case KindFloat:
-		return v.F == o.F
+		return v.F() == o.F()
 	case KindString:
 		return v.S == o.S
 	case KindPlaceholder:
-		return v.Call == o.Call && v.Field == o.Field
+		return v.bits == o.bits && v.field == o.field
 	}
 	return false
 }
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
+
+// isNaN reports whether v is a float NaN.
+func (v Value) isNaN() bool { return v.Kind == KindFloat && math.IsNaN(v.F()) }
 
 // Compare returns -1, 0, or +1 ordering v relative to o.
 // NULL sorts before everything; placeholders sort after everything (they
@@ -236,13 +284,13 @@ func (v Value) Compare(o Value) int {
 		switch {
 		case v.Kind == o.Kind:
 			switch {
-			case v.Call != o.Call:
-				if v.Call < o.Call {
+			case v.bits != o.bits:
+				if v.bits < o.bits {
 					return -1
 				}
 				return 1
-			case v.Field != o.Field:
-				if v.Field < o.Field {
+			case v.field != o.field:
+				if v.field < o.field {
 					return -1
 				}
 				return 1

@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize guards the 32-byte layout: a wider Value moves every
+// tuple into a larger size class and every column scan with it.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 32", n)
+	}
+}
 
 func TestValueConstructorsAndKinds(t *testing.T) {
 	cases := []struct {

@@ -195,7 +195,7 @@ func TestSourceWebCountCall(t *testing.T) {
 	if av.lastQ != "Colorado near four corners" {
 		t.Errorf("query sent: %q", av.lastQ)
 	}
-	if len(rows) != 1 || rows[0][0].I != int64(len(av.lastQ)) {
+	if len(rows) != 1 || rows[0][0].I() != int64(len(av.lastQ)) {
 		t.Errorf("rows: %v", rows)
 	}
 }
@@ -212,7 +212,7 @@ func TestSourceWebPagesCall(t *testing.T) {
 	if av.lastK != 2 {
 		t.Errorf("limit passed to engine: %d", av.lastK)
 	}
-	if len(rows) != 2 || rows[0][1].I != 1 || rows[1][1].I != 2 {
+	if len(rows) != 2 || rows[0][1].I() != 1 || rows[1][1].I() != 2 {
 		t.Errorf("rows: %v", rows)
 	}
 	if rows[0][2].AsString() != "1999-05-05" {
@@ -235,13 +235,13 @@ func TestSourceWebFetchCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].AsString() != "body:www.x.com" || rows[0][1].I != 200 {
+	if len(rows) != 1 || rows[0][0].AsString() != "body:www.x.com" || rows[0][1].I() != 200 {
 		t.Errorf("rows: %v", rows)
 	}
 	// Not found surfaces as a 404 row, not an error (the crawler keeps going).
 	av.fetchErr = search.ErrNotFound
 	rows, err = src.Call([]types.Value{types.Str("gone")})
-	if err != nil || len(rows) != 1 || rows[0][1].I != 404 {
+	if err != nil || len(rows) != 1 || rows[0][1].I() != 404 {
 		t.Errorf("404 row: %v %v", rows, err)
 	}
 	// Unbound URL.
